@@ -1,19 +1,18 @@
 //! Parallel-vs-sequential exploration ablation (E13).
 //!
-//! Times full reachability-graph construction on the **pipelined** sharded
+//! Times full reachability-graph construction on the map-then-commit
 //! parallel engine against the sequential dense engine for the catalog's
 //! largest instances, prints the comparison table and writes the numbers
 //! to `BENCH_parallel_explore.json` so the speedup is tracked across PRs.
-//! Each instance is timed three ways: sequential, `Parallel(1)` (the full
-//! pipeline machinery with zero spawned workers — its gap to sequential is
-//! the engine's pure overhead, the number the ≤5% budget in DESIGN.md
-//! refers to), and `Parallel(auto)`. Every timed triple is also checked
-//! for graph equality — the parallel engine's renumbering contract.
+//! Each instance is timed sequential and `Parallel(auto)`, and every timed
+//! pair is also checked for graph equality — the parallel engine's
+//! determinism contract.
 //!
 //! `--check` skips the timing loops and instead verifies, on moderate
-//! instances, that the pipelined engine produces node-for-node,
-//! edge-for-edge identical graphs for worker counts 1–4, exiting nonzero
-//! on any divergence (wired into CI's single-thread and odd-worker jobs).
+//! instances, that the parallel engine produces node-for-node,
+//! edge-for-edge identical graphs for worker counts 2–4, exiting nonzero
+//! on any divergence (wired into CI). `Parallel(1)` runs the sequential
+//! engine, so it has nothing to check.
 
 use pp_bench::{fmt_f64, Table};
 use pp_petri::{Analysis, ExplorationLimits, Parallelism};
@@ -28,9 +27,6 @@ struct Row {
     /// Stored arena bytes per node under the active (packed) row layout.
     bytes_per_node: usize,
     seq_ns: u128,
-    /// `Parallel(1)`: the pipelined machinery with zero spawned workers —
-    /// its distance from `seq_ns` is the engine's pure overhead.
-    par1_ns: u128,
     par_ns: u128,
 }
 
@@ -56,9 +52,9 @@ fn min_ns_interleaved<const N: usize>(
     best
 }
 
-/// The `--check` instances: moderate graphs, every worker count the CI
-/// matrix pins (1 = spawn-free pipeline, 2 = one worker overlapping the
-/// commits, 3 = odd count, 4 = oversubscribed on the 2-vCPU sandbox).
+/// The `--check` instances: moderate graphs at worker counts 2 (one
+/// spawned worker), 3 (an odd count) and 4 (oversubscribed on a 2-thread
+/// host).
 fn run_check(instances: &[(&'static str, Protocol, Vec<u64>)]) -> bool {
     let limits = ExplorationLimits::default();
     let mut ok = true;
@@ -69,7 +65,7 @@ fn run_check(instances: &[(&'static str, Protocol, Vec<u64>)]) -> bool {
                 .reachability([initial.clone()])
                 .limits(limits)
                 .run();
-            for workers in [1usize, 2, 3, 4] {
+            for workers in [2usize, 3, 4] {
                 let parallel = Analysis::new(protocol.net())
                     .reachability([initial.clone()])
                     .limits(limits)
@@ -166,7 +162,7 @@ fn main() {
             );
             let nodes = sequential.len();
             let bytes_per_node = sequential.bytes_per_node();
-            let [seq_ns, par1_ns, par_ns] = min_ns_interleaved(
+            let [seq_ns, par_ns] = min_ns_interleaved(
                 runs,
                 &mut [
                     // Cold sessions per sample: each timed build includes
@@ -175,14 +171,6 @@ fn main() {
                         Analysis::new(net)
                             .reachability([initial.clone()])
                             .limits(limits)
-                            .run()
-                            .len()
-                    },
-                    &mut || {
-                        Analysis::new(net)
-                            .reachability([initial.clone()])
-                            .limits(limits)
-                            .parallelism(Parallelism::Parallel(1))
                             .run()
                             .len()
                     },
@@ -202,7 +190,6 @@ fn main() {
                 nodes,
                 bytes_per_node,
                 seq_ns,
-                par1_ns,
                 par_ns,
             });
         }
@@ -214,9 +201,7 @@ fn main() {
         "nodes",
         "B/node",
         "sequential (ms)",
-        "pipeline@1 (ms)",
         "parallel (ms)",
-        "overhead",
         "speedup",
     ]);
     for row in &rows {
@@ -226,33 +211,25 @@ fn main() {
             row.nodes.to_string(),
             row.bytes_per_node.to_string(),
             fmt_f64(row.seq_ns as f64 / 1e6),
-            fmt_f64(row.par1_ns as f64 / 1e6),
             fmt_f64(row.par_ns as f64 / 1e6),
-            format!(
-                "{:+.1}%",
-                (row.par1_ns as f64 / row.seq_ns.max(1) as f64 - 1.0) * 100.0
-            ),
             fmt_f64(row.seq_ns as f64 / row.par_ns.max(1) as f64),
         ]);
     }
     table.print(&format!(
-        "Sequential vs pipelined parallel exploration ({} workers, {host_threads} hardware threads; \
-         overhead = Parallel(1) machinery vs sequential)",
+        "Sequential vs map-then-commit parallel exploration ({} workers, {host_threads} hardware threads)",
         auto.workers()
     ));
 
     let mut json = String::from("[\n");
     for (i, row) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "  {{\"family\": \"{}\", \"agents\": {}, \"nodes\": {}, \"bytes_per_node\": {}, \"seq_ns\": {}, \"par1_ns\": {}, \"par_ns\": {}, \"machinery_overhead\": {:.4}, \"speedup\": {:.3}, \"workers\": {}, \"host_threads\": {}}}{}\n",
+            "  {{\"family\": \"{}\", \"agents\": {}, \"nodes\": {}, \"bytes_per_node\": {}, \"seq_ns\": {}, \"par_ns\": {}, \"speedup\": {:.3}, \"workers\": {}, \"host_threads\": {}}}{}\n",
             row.family,
             row.agents,
             row.nodes,
             row.bytes_per_node,
             row.seq_ns,
-            row.par1_ns,
             row.par_ns,
-            row.par1_ns as f64 / row.seq_ns.max(1) as f64 - 1.0,
             row.seq_ns as f64 / row.par_ns.max(1) as f64,
             auto.workers(),
             host_threads,

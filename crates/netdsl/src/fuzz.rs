@@ -21,12 +21,13 @@
 //! target rides along in the `target` stanza).
 //!
 //! `--inject-fault` flips
-//! [`fault_injection::EXHAUST_SCRATCH_IDS`](pp_petri::explore) around the
-//! parallel-axis runs. The hook refuses fresh scratch interns in worker
-//! chunks, which truncates *parallel* reachability early while leaving the
-//! sequential baseline untouched — a guaranteed observable engine fault
-//! that CI uses to prove the harness actually catches and shrinks
-//! divergences (the run *fails* if nothing is caught).
+//! [`fault_injection::DROP_FRESH_SUCCESSORS`](pp_petri::explore) around
+//! the parallel-axis runs. The hook makes the parallel engine's map step
+//! drop every successor its worker chunks have not seen interned, which
+//! truncates *parallel* reachability early while leaving the sequential
+//! baseline untouched — a guaranteed observable engine fault that CI uses
+//! to prove the harness actually catches and shrinks divergences (the run
+//! *fails* if nothing is caught).
 
 use crate::ast::NetDef;
 use crate::eval::{concretize, instantiate, EvalError, NetSpec};
@@ -117,7 +118,7 @@ pub struct FuzzOptions {
     /// Configuration budget for reachability and node budget for
     /// Karp–Miller (coverability is exact and needs none).
     pub budget: usize,
-    /// Enable the scratch-id exhaustion fault on parallel-axis runs.
+    /// Enable the dropped-successor fault on parallel-axis runs.
     pub inject_fault: bool,
 }
 
@@ -226,7 +227,7 @@ impl EngineModeGuard {
             saved_packed: packed::packed_enabled(),
         };
         packed::set_packed_enabled(matches!(mode.axis, Some(Axis::Packed)));
-        fault_injection::EXHAUST_SCRATCH_IDS.store(
+        fault_injection::DROP_FRESH_SUCCESSORS.store(
             mode.inject_fault && matches!(mode.axis, Some(Axis::Parallel)),
             Ordering::SeqCst,
         );
@@ -237,7 +238,7 @@ impl EngineModeGuard {
 impl Drop for EngineModeGuard {
     fn drop(&mut self) {
         packed::set_packed_enabled(self.saved_packed);
-        fault_injection::EXHAUST_SCRATCH_IDS.store(false, Ordering::SeqCst);
+        fault_injection::DROP_FRESH_SUCCESSORS.store(false, Ordering::SeqCst);
     }
 }
 
@@ -585,7 +586,7 @@ mod tests {
         });
         assert!(
             !outcome.divergences.is_empty(),
-            "the scratch-id exhaustion fault must be observable"
+            "the dropped-successor fault must be observable"
         );
         for divergence in &outcome.divergences {
             assert_eq!(divergence.axis, Axis::Parallel, "fault is parallel-only");

@@ -8,16 +8,18 @@
 //! exploration is truncated by [`ExplorationLimits`] and the result records
 //! whether it is complete.
 
-use crate::arena::{ConfigArena, ConfigId, ShardedArena, ShardedConfigId};
+use crate::arena::{hash_row, ConfigArena, ConfigId};
 use crate::engine::CompiledNet;
 use crate::packed::{PackedTransition, RowLayout};
 use crate::parallel::Parallelism;
 use crate::session::Completion;
 use crate::PetriNet;
 use pp_multiset::Multiset;
+use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock, RwLock};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// The largest number of configurations any exploration can store: the
 /// `u32` id space of [`ConfigArena`].
@@ -33,25 +35,24 @@ pub const MAX_GRAPH_CONFIGURATIONS: usize = u32::MAX as usize;
 /// Hidden from the documented API: the `tests/parallel_poison.rs`
 /// integration test sets [`PANIC_IN_WORKERS`](fault_injection::PANIC_IN_WORKERS)
 /// to prove that a panicking worker thread poisons the whole build — the
-/// panic propagates out of [`ReachabilityGraph::build_with`] — instead of
-/// deadlocking the pipeline barrier. While set, worker dispatch also
-/// ignores the minimum level size so tiny test graphs still spawn workers.
+/// panic is re-raised from the calling thread of
+/// [`ReachabilityGraph::build_with`] — and the differential fuzzer plants
+/// [`DROP_FRESH_SUCCESSORS`](fault_injection::DROP_FRESH_SUCCESSORS) to
+/// prove it catches a parallel-only divergence. While either is set, every
+/// level runs the map step on the workers, however small.
 #[doc(hidden)]
 pub mod fault_injection {
     use std::sync::atomic::AtomicBool;
 
-    /// When `true`, every spawned exploration worker panics at its next
-    /// wakeup (the main thread never does — it must survive to observe
-    /// the poisoning).
+    /// When `true`, every spawned exploration worker panics before mapping
+    /// its first chunk (the calling thread never does — it must survive to
+    /// re-raise the poisoned build).
     pub static PANIC_IN_WORKERS: AtomicBool = AtomicBool::new(false);
 
-    /// When `true`, the sharded scratch arenas refuse every *fresh*
-    /// intern, as if their shard-local `u32` id space were exhausted
-    /// (dedup hits still resolve). Worker dispatch also ignores the
-    /// minimum level size, like [`PANIC_IN_WORKERS`]. Regression lever
-    /// for the id-space truncation path: builds must degrade to
-    /// `Completion::IdSpace`, never panic.
-    pub static EXHAUST_SCRATCH_IDS: AtomicBool = AtomicBool::new(false);
+    /// When `true`, the map step drops every successor the arena does not
+    /// hold yet, so parallel builds stop at their initial configurations
+    /// while the sequential engine is untouched.
+    pub static DROP_FRESH_SUCCESSORS: AtomicBool = AtomicBool::new(false);
 }
 
 /// Limits for forward exploration.
@@ -196,6 +197,16 @@ struct DirtyNode {
     watermark: u32,
 }
 
+impl DirtyNode {
+    /// Node `id`, moved past while `arena` holds its current length.
+    fn at(id: usize, arena: &ConfigArena) -> Self {
+        DirtyNode {
+            id: u32::try_from(id).expect("node id fits u32"),
+            watermark: u32::try_from(arena.len()).expect("arena len fits u32"),
+        }
+    }
+}
+
 /// Which exploration limits bit during a build. The flags are set at the
 /// exact decision points the sequential search would set them, in both
 /// engines, so they are deterministic across modes and worker counts.
@@ -204,20 +215,14 @@ struct Truncation {
     config: bool,
     agents: bool,
     depth: bool,
-    /// A sharded scratch arena ran out of shard-local `u32` ids mid-build
-    /// (the parallel engine's analogue of the sequential id-space clamp).
-    id_space: bool,
 }
 
 impl Truncation {
     /// The dominant [`Completion`] for these flags under `limits`
-    /// (id space → configuration budget → agent cap → depth cap; a budget
-    /// that was clamped by the arena id space also reports
-    /// [`Completion::IdSpace`]).
+    /// (configuration budget → agent cap → depth cap; a budget that was
+    /// clamped by the arena id space reports [`Completion::IdSpace`]).
     fn completion(self, limits: &ExplorationLimits) -> Completion {
-        if self.id_space {
-            Completion::IdSpace
-        } else if self.config {
+        if self.config {
             if limits.max_configurations > MAX_GRAPH_CONFIGURATIONS {
                 Completion::IdSpace
             } else {
@@ -245,399 +250,229 @@ struct SeedState {
     trunc: Truncation,
 }
 
-/// A successor reference produced by the worker phase of one level.
+/// A successor as the map step resolved it against the arena frozen at the
+/// start of its level.
 #[derive(Debug, Clone, Copy)]
-enum SuccessorRef {
-    /// The successor is already numbered in the (frozen) final arena.
+enum Successor {
+    /// Already interned under this id.
     Known(u32),
-    /// First seen this level: lives in the scratch sharded arena.
-    Fresh(ShardedConfigId),
-    /// The scratch arena refused the row: its shard's `u32` id space is
-    /// exhausted. The commit pass records the source node as dirty under
-    /// an id-space truncation — the graph degrades like a budget
-    /// truncation instead of panicking mid-build.
-    Exhausted,
+    /// Not interned when the level started: the row's index in its
+    /// chunk's `hashes` (and `rows`, `stride` words each).
+    Fresh(u32),
 }
 
-/// One expanded chunk of a level's job: the flat successor list (in
-/// node-major, transition-minor order) and, per node, its `(offset, len)`
-/// span within that list — emitted by the workers directly so the commit
-/// pass gets random access without re-walking or copying edges.
-struct ChunkResult {
-    chunk: usize,
-    edges: Vec<(u32, SuccessorRef)>,
-    spans: Vec<(u32, u32)>,
-}
-
-/// One BFS level's shared work description for the parallel engine.
-///
-/// The main thread publishes a job (one scratch epoch's rows in
-/// deterministic shard-major order), all workers claim chunks via
-/// `next_chunk` and push their [`ChunkResult`]s into `results`; the main
-/// thread later reassembles the chunks for that level's deterministic
-/// commit pass — which, under the pipelined protocol, runs **while** the
-/// workers are already expanding the next job.
-struct LevelJob {
+/// The map step's output for one chunk of a level's frontier.
+#[derive(Debug)]
+struct MappedChunk {
+    /// `(transition, successor)` for every enabled transition, node-major
+    /// and transition-minor.
+    successors: Vec<(u32, Successor)>,
+    /// Per node of the chunk, the end of its run in `successors`.
+    ends: Vec<u32>,
+    /// The hashes of the chunk's `Fresh` rows.
+    hashes: Vec<u64>,
+    /// The chunk's `Fresh` rows, back to back. Siblings share children,
+    /// so equal rows found with the same hash are stored once; the commit
+    /// step probes the arena once per stored row.
     rows: Vec<u64>,
-    /// Per-node flag: `false` = the node is over the agent budget and is
-    /// stored without being expanded (workers report zero successors and
-    /// the commit pass records the incompleteness).
-    expand: Vec<bool>,
-    width: usize,
-    count: usize,
-    chunk_size: usize,
-    next_chunk: AtomicUsize,
-    results: Mutex<Vec<ChunkResult>>,
 }
 
-impl LevelJob {
-    fn empty() -> Self {
-        LevelJob {
-            rows: Vec::new(),
-            expand: Vec::new(),
-            width: 0,
-            count: 0,
-            chunk_size: 1,
-            next_chunk: AtomicUsize::new(0),
-            results: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-/// Maps a frontier node back to its position in the level job that
-/// expanded it.
-enum JobIndex {
-    /// The job was built after the previous commit, from the frontier's
-    /// contiguous arena rows in id order (the inline path): a node's
-    /// position is its id offset, and the commit scans sequentially.
-    Identity,
-    /// The job was built before the previous commit, from one scratch
-    /// epoch in shard-major, local-minor order (the pipelined path): a
-    /// row's position is its shard's cumulative offset plus its local id
-    /// relative to the epoch start of that shard.
-    Epoch { start: Vec<u32>, offset: Vec<u32> },
-}
-
-impl JobIndex {
-    fn position(&self, id_offset: usize, sids: &[ShardedConfigId]) -> usize {
-        match self {
-            JobIndex::Identity => id_offset,
-            JobIndex::Epoch { start, offset } => {
-                let sid = sids[id_offset];
-                offset[sid.shard()] as usize + (sid.local() - start[sid.shard()] as usize)
-            }
-        }
-    }
-}
-
-/// Epoch-tagged map from scratch [`ShardedConfigId`]s to committed global
-/// ids (`u32::MAX` = not committed). Entries are stored relative to a
-/// per-shard retirement base, so the map — like the scratch arena itself —
-/// only ever holds the two live epochs of the pipeline.
-struct SidMap {
-    base: Vec<u32>,
-    slots: Vec<Vec<u32>>,
-}
-
-impl SidMap {
-    fn new(shards: usize) -> Self {
-        SidMap {
-            base: vec![0; shards],
-            slots: vec![Vec::new(); shards],
-        }
-    }
-
-    fn get(&self, sid: ShardedConfigId) -> Option<u32> {
-        let slot = sid
-            .local()
-            .checked_sub(self.base[sid.shard()] as usize)
-            .expect("retired scratch id queried");
-        match self.slots[sid.shard()].get(slot) {
-            Some(&global) if global != u32::MAX => Some(global),
-            _ => None,
-        }
-    }
-
-    fn set(&mut self, sid: ShardedConfigId, global: u32) {
-        let slot = sid
-            .local()
-            .checked_sub(self.base[sid.shard()] as usize)
-            .expect("retired scratch id assigned");
-        let slots = &mut self.slots[sid.shard()];
-        if slots.len() <= slot {
-            slots.resize(slot + 1, u32::MAX);
-        }
-        slots[slot] = global;
-    }
-
-    /// Drops every entry whose local id lies below `lens[shard]` — the
-    /// epoch analogue of [`ShardedArena::retire_below`]. Retired entries
-    /// are never queried again: commits only resolve scratch ids from the
-    /// two live epochs.
-    fn retire_below(&mut self, lens: &[u32]) {
-        for (shard, &cut) in lens.iter().enumerate() {
-            let cut = cut.max(self.base[shard]);
-            let drop = (cut - self.base[shard]) as usize;
-            let slots = &mut self.slots[shard];
-            slots.drain(..drop.min(slots.len()));
-            self.base[shard] = cut;
-        }
-    }
-}
-
-/// Random-access view over one level's expansion results: for each job
-/// position, the successor references produced for that node, in
-/// transition order. Chunks are kept as the workers produced them — the
-/// per-node spans they emitted make lookup O(1) without copying a single
-/// edge.
-struct LevelResults {
-    results: Vec<ChunkResult>,
-    chunk_size: usize,
-}
-
-impl LevelResults {
-    fn assemble(mut results: Vec<ChunkResult>, count: usize, chunk_size: usize) -> Self {
-        results.sort_unstable_by_key(|r| r.chunk);
-        debug_assert!(results.iter().enumerate().all(|(i, r)| r.chunk == i));
-        debug_assert_eq!(
-            results.iter().map(|r| r.spans.len()).sum::<usize>(),
-            count,
-            "every job position reported successors"
-        );
-        let _ = count;
-        LevelResults {
-            results,
-            chunk_size,
-        }
-    }
-
-    fn successors(&self, position: usize) -> &[(u32, SuccessorRef)] {
-        let chunk = &self.results[position / self.chunk_size];
-        let (offset, len) = chunk.spans[position - chunk.chunk * self.chunk_size];
-        &chunk.edges[offset as usize..offset as usize + len as usize]
-    }
-}
-
-/// Gathers one scratch epoch into a level job plus the [`JobIndex`] that
-/// maps a node's scratch id back to its job position. `rows`/`expand` are
-/// recycled buffers from a committed job.
-fn build_level_job(
-    sharded: &ShardedArena,
-    from: &[u32],
-    to: &[u32],
-    limits: &ExplorationLimits,
-    width: usize,
-    mut rows: Vec<u64>,
-    mut expand: Vec<bool>,
-) -> (LevelJob, JobIndex) {
-    rows.clear();
-    expand.clear();
-    let mut offset = Vec::with_capacity(from.len());
-    let mut count = 0usize;
-    for shard in 0..from.len() {
-        offset.push(u32::try_from(count).expect("job position fits u32"));
-        count += (to[shard] - from[shard]) as usize;
-    }
-    rows.reserve(count * width);
-    expand.reserve(count);
-    sharded.for_each_in_range(from, to, |_, _, total, row| {
-        expand.push(limits.max_agents.is_none_or(|max| total <= max));
-        rows.extend_from_slice(row);
-    });
-    (
-        LevelJob {
-            rows,
-            expand,
-            width,
-            count,
-            chunk_size: count.max(1),
-            next_chunk: AtomicUsize::new(0),
-            results: Mutex::new(Vec::new()),
-        },
-        JobIndex::Epoch {
-            start: from.to_vec(),
-            offset,
-        },
-    )
-}
-
-/// Builds an inline level job from the frontier's already-published arena
-/// rows, in id order — the [`JobIndex::Identity`] layout whose commit
-/// scans results sequentially (no shard indirection, no random access).
-fn build_frontier_job(
-    arena: &ConfigArena,
-    frontier: std::ops::Range<usize>,
-    limits: &ExplorationLimits,
-    width: usize,
-    mut rows: Vec<u64>,
-    mut expand: Vec<bool>,
-) -> LevelJob {
-    rows.clear();
-    expand.clear();
-    let count = frontier.len();
-    rows.reserve(count * width);
-    expand.reserve(count);
-    for id in frontier {
-        let id = ConfigId(u32::try_from(id).expect("node id fits u32"));
-        let total = arena.total(id);
-        expand.push(limits.max_agents.is_none_or(|max| total <= max));
-        rows.extend_from_slice(arena.row(id));
-    }
-    LevelJob {
-        rows,
-        expand,
-        width,
-        count,
-        chunk_size: count.max(1),
-        next_chunk: AtomicUsize::new(0),
-        results: Mutex::new(Vec::new()),
-    }
-}
-
-/// The deterministic commit of one level: replays the expansion results in
-/// frontier × transition order, assigning dense ids exactly as the
-/// sequential BFS would — resolving already-known successors through the
-/// epoch-tagged [`SidMap`] and admitting first-seen rows against the
-/// configuration budget. Returns the scratch ids committed as the next
-/// frontier, in id order.
-///
-/// This pass never touches the frozen arena (rows are published to it at
-/// the next pipeline sync), which is what lets it run concurrently with
-/// the workers' expansion of the next level.
-#[allow(clippy::too_many_arguments)]
-fn commit_level(
-    frontier: std::ops::Range<usize>,
-    frontier_sids: &[ShardedConfigId],
-    index: &JobIndex,
-    job: &LevelJob,
-    results: &LevelResults,
-    map: &mut SidMap,
-    edges: &mut EdgeLists,
-    next_id: &mut usize,
-    cap: usize,
-    trunc: &mut Truncation,
-    dirty: &mut Vec<DirtyNode>,
-    depths: &mut Vec<u32>,
-    child_depth: u32,
-) -> Vec<ShardedConfigId> {
-    let mut committed = Vec::new();
-    for global in frontier.clone() {
-        let position = index.position(global - frontier.start, frontier_sids);
-        if !job.expand[position] {
-            // Over the agent budget: stored but never expanded, exactly
-            // like the sequential search (which records the same dirty
-            // node, watermark and truncation flag — `next_id` mirrors the
-            // sequential arena length at this point of the replay).
-            trunc.agents = true;
-            dirty.push(DirtyNode {
-                id: u32::try_from(global).expect("node id fits u32"),
-                watermark: u32::try_from(*next_id).expect("arena len fits u32"),
-            });
-            continue;
-        }
-        let mut blocked = false;
-        for &(transition, successor) in results.successors(position) {
-            let to = match successor {
-                SuccessorRef::Known(id) => id as usize,
-                SuccessorRef::Exhausted => {
-                    // The scratch arena could not even hold the row: the
-                    // node keeps its recorded edges to known successors
-                    // and stays dirty, and the build reports an id-space
-                    // truncation (a more permissive arena may resume it).
-                    trunc.id_space = true;
-                    blocked = true;
-                    continue;
-                }
-                SuccessorRef::Fresh(sid) => match map.get(sid) {
-                    Some(assigned) => assigned as usize,
-                    None => {
-                        if *next_id >= cap {
-                            trunc.config = true;
-                            blocked = true;
-                            continue;
-                        }
-                        let assigned = *next_id;
-                        *next_id += 1;
-                        map.set(sid, assigned as u32);
-                        edges.push(Vec::new());
-                        depths.push(child_depth);
-                        committed.push(sid);
-                        assigned
-                    }
-                },
-            };
-            edges[global].push((transition as usize, to));
-        }
-        if blocked {
-            dirty.push(DirtyNode {
-                id: u32::try_from(global).expect("node id fits u32"),
-                watermark: u32::try_from(*next_id).expect("arena len fits u32"),
-            });
-        }
-    }
-    committed
-}
-
-/// Worker body: claims frontier chunks, fires every transition on the
-/// packed word rows, and resolves each successor — against the frozen
-/// final arena first (a lock-free read; backward and lateral edges end
-/// here), falling back to an intern into the sharded scratch arena for
-/// rows first seen this level. Pure fan-out — all ordering decisions
-/// happen in the main thread's renumbering pass. Takes the packed
-/// transitions rather than the whole engine so worker threads need no
-/// bounds on `P`.
-fn expand_level_chunks(
-    job: &LevelJob,
+/// The map step for frontier nodes `nodes`: fires every enabled transition
+/// of each node within the agent cap and looks the successor up in the
+/// read-only `arena`. Nodes over the cap map to no successors (the commit
+/// step records them). With `drop_fresh` (a planted fault, see
+/// [`fault_injection`]) successors the arena does not hold are dropped.
+fn map_chunk(
     transitions: &[PackedTransition],
-    frozen: &ConfigArena,
-    sharded: &ShardedArena,
-) {
-    // relaxed: test-only fault flag, set before the build starts.
-    let exhaust_faults = fault_injection::EXHAUST_SCRATCH_IDS.load(Ordering::Relaxed);
+    arena: &ConfigArena,
+    nodes: Range<usize>,
+    max_agents: Option<u64>,
+    drop_fresh: bool,
+) -> MappedChunk {
+    let stride = arena.stride();
+    let mut chunk = MappedChunk {
+        successors: Vec::new(),
+        ends: Vec::new(),
+        hashes: Vec::new(),
+        rows: Vec::new(),
+    };
+    // The last fresh row seen per hash. A hash collision between distinct
+    // rows only costs the commit step a second probe.
+    let mut fresh_by_hash: FxHashMap<u64, u32> = FxHashMap::default();
     let mut succ = Vec::new();
-    loop {
-        // relaxed: pure work-claiming counter — the fetch_add's atomicity
-        // alone makes claims disjoint; chunk results are renumbered
-        // deterministically afterwards, so claim order carries no data.
-        let chunk = job.next_chunk.fetch_add(1, Ordering::Relaxed);
-        let start = chunk * job.chunk_size;
-        if start >= job.count {
-            break;
-        }
-        let end = (start + job.chunk_size).min(job.count);
-        let mut edges: Vec<(u32, SuccessorRef)> =
-            Vec::with_capacity((end - start) * transitions.len());
-        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(end - start);
-        for node in start..end {
-            let offset = edges.len() as u32;
-            if !job.expand[node] {
-                spans.push((offset, 0));
-                continue;
-            }
-            let src = &job.rows[node * job.width..(node + 1) * job.width];
+    for id in nodes {
+        let node = ConfigId(id as u32);
+        if max_agents.is_none_or(|max| arena.total(node) <= max) {
+            let src = arena.row(node);
             for (t, transition) in transitions.iter().enumerate() {
                 if !transition.is_enabled_words(src) {
                     continue;
                 }
                 transition.fire_words(src, &mut succ);
-                let hash = crate::arena::hash_row(&succ);
-                let successor = match frozen.lookup_prehashed(hash, &succ) {
-                    Some(id) => SuccessorRef::Known(id.0),
-                    None if exhaust_faults => SuccessorRef::Exhausted,
-                    None => match sharded.try_intern_hashed(hash, &succ) {
-                        Some(sid) => SuccessorRef::Fresh(sid),
-                        None => SuccessorRef::Exhausted,
+                let hash = hash_row(&succ);
+                let successor = match arena.lookup_prehashed(hash, &succ) {
+                    Some(known) => Successor::Known(known.0),
+                    None if drop_fresh => continue,
+                    None => match fresh_by_hash.get(&hash) {
+                        Some(&local)
+                            if chunk.rows[local as usize * stride..][..stride] == succ[..] =>
+                        {
+                            Successor::Fresh(local)
+                        }
+                        _ => {
+                            let local = chunk.hashes.len() as u32;
+                            chunk.hashes.push(hash);
+                            chunk.rows.extend_from_slice(&succ);
+                            fresh_by_hash.insert(hash, local);
+                            Successor::Fresh(local)
+                        }
                     },
                 };
-                edges.push((t as u32, successor));
+                chunk.successors.push((t as u32, successor));
             }
-            spans.push((offset, edges.len() as u32 - offset));
         }
-        crate::arena::spin_lock(&job.results).push(ChunkResult {
-            chunk,
-            edges,
-            spans,
-        });
+        chunk.ends.push(chunk.successors.len() as u32);
+    }
+    chunk
+}
+
+/// The map step of one level: `workers` threads (the caller included)
+/// claim chunks of the frontier `nodes` through one counter and map them
+/// with [`map_chunk`]. Returns the chunks in frontier order.
+///
+/// # Panics
+///
+/// Re-raises a worker's panic from the calling thread as a poisoned build.
+fn map_level(
+    transitions: &[PackedTransition],
+    arena: &ConfigArena,
+    nodes: Range<usize>,
+    max_agents: Option<u64>,
+    workers: usize,
+    drop_fresh: bool,
+) -> Vec<MappedChunk> {
+    // Enough chunks that workers stay balanced, big enough that claim
+    // traffic stays negligible.
+    let chunk_size = nodes.len().div_ceil(workers * 4).clamp(1, 512);
+    let count = nodes.len().div_ceil(chunk_size);
+    let next_chunk = AtomicUsize::new(0);
+    let claim = || {
+        let mut mapped = Vec::new();
+        loop {
+            // relaxed: pure work-claiming counter — the fetch_add's
+            // atomicity alone makes claims disjoint, and the chunks are
+            // put back in frontier order below, so claim order carries no
+            // data.
+            let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+            if chunk >= count {
+                return mapped;
+            }
+            let from = nodes.start + chunk * chunk_size;
+            let to = (from + chunk_size).min(nodes.end);
+            mapped.push((
+                chunk,
+                map_chunk(transitions, arena, from..to, max_agents, drop_fresh),
+            ));
+        }
+    };
+    let mut mapped = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    // relaxed: test-only fault flag, set before the build
+                    // starts; no ordering with any other memory is needed.
+                    if fault_injection::PANIC_IN_WORKERS.load(Ordering::Relaxed) {
+                        // pp-lint: allow(panic-in-worker) — the injected
+                        // fault must be a genuine unwind so the join below
+                        // stays covered by tests.
+                        panic!("injected worker panic (fault_injection)");
+                    }
+                    claim()
+                })
+            })
+            .collect();
+        let mut mapped = claim();
+        for handle in handles {
+            mapped.extend(
+                handle
+                    .join()
+                    .expect("a parallel exploration worker panicked; the build is poisoned"),
+            );
+        }
+        mapped
+    });
+    mapped.sort_unstable_by_key(|&(chunk, _)| chunk);
+    mapped.into_iter().map(|(_, chunk)| chunk).collect()
+}
+
+/// The commit step of one level: replays the mapped chunks of the
+/// frontier starting at `first` in frontier × transition order, interning
+/// fresh rows and recording dirty nodes exactly where [`scan_expand`]
+/// would.
+#[allow(clippy::too_many_arguments)]
+fn commit_chunks(
+    chunks: Vec<MappedChunk>,
+    first: usize,
+    arena: &mut ConfigArena,
+    edges: &mut EdgeLists,
+    depths: &mut Vec<u32>,
+    dirty: &mut Vec<DirtyNode>,
+    trunc: &mut Truncation,
+    limits: &ExplorationLimits,
+) {
+    let cap = limits.effective_max_configurations();
+    let stride = arena.stride();
+    let child_depth = depths[first] + 1;
+    let mut id = first;
+    for chunk in chunks {
+        // Global ids of the chunk's fresh rows, once committed.
+        let mut committed: Vec<Option<usize>> = vec![None; chunk.hashes.len()];
+        let mut start = 0;
+        for end in chunk.ends {
+            let successors = &chunk.successors[start..end as usize];
+            start = end as usize;
+            let node = ConfigId(id as u32);
+            if limits.max_agents.is_some_and(|max| arena.total(node) > max) {
+                trunc.agents = true;
+                dirty.push(DirtyNode::at(id, arena));
+                id += 1;
+                continue;
+            }
+            let mut blocked = false;
+            edges[id].reserve_exact(successors.len());
+            for &(t, successor) in successors {
+                let to = match successor {
+                    Successor::Known(to) => to as usize,
+                    Successor::Fresh(local) => {
+                        let local = local as usize;
+                        if let Some(to) = committed[local] {
+                            to
+                        } else {
+                            let hash = chunk.hashes[local];
+                            let row = &chunk.rows[local * stride..][..stride];
+                            let to = if let Some(existing) = arena.lookup_prehashed(hash, row) {
+                                existing.index()
+                            } else if arena.len() >= cap {
+                                trunc.config = true;
+                                blocked = true;
+                                continue;
+                            } else {
+                                edges.push(Vec::new());
+                                depths.push(child_depth);
+                                arena.intern_prehashed(hash, row).index()
+                            };
+                            committed[local] = Some(to);
+                            to
+                        }
+                    }
+                };
+                edges[id].push((t as usize, to));
+            }
+            if blocked {
+                dirty.push(DirtyNode::at(id, arena));
+            }
+            id += 1;
+        }
     }
 }
 
@@ -688,12 +523,17 @@ fn expand_one(
     blocked
 }
 
-/// The sequential breadth-first expansion of nodes `start..` in id order.
+/// The sequential breadth-first expansion of the nodes `ids` in id order,
+/// stopping early once every stored node is expanded: nodes at the depth
+/// cap or over the agent cap are recorded as dirty, every other node is
+/// expanded by [`expand_one`].
 ///
 /// Node ids are assigned in discovery order, so scanning ids *is* the BFS
-/// queue: every node interned during the scan is reached by the scan. Used
-/// by the cold sequential build (`start = 0`) and by the continuation phase
-/// of [`ReachabilityGraph::resume`] (`start` = first fresh id).
+/// queue: every node interned during the scan is reached by the scan, and
+/// an open range (`start..usize::MAX`) runs the whole search. Used by the
+/// cold sequential build (`start = 0`), by the continuation phase of
+/// [`ReachabilityGraph::resume`] (`start` = first fresh id), and by the
+/// parallel build for one narrow level.
 #[allow(clippy::too_many_arguments)]
 fn scan_expand(
     transitions: &[PackedTransition],
@@ -703,36 +543,24 @@ fn scan_expand(
     dirty: &mut Vec<DirtyNode>,
     trunc: &mut Truncation,
     limits: &ExplorationLimits,
-    start: usize,
+    ids: Range<usize>,
 ) {
     let cap = limits.effective_max_configurations();
     let mut src = Vec::new();
     let mut succ = Vec::new();
-    let mut id = start;
-    while id < arena.len() {
+    let mut id = ids.start;
+    while id < ids.end && id < arena.len() {
         let depth = depths[id];
         if limits.max_depth.is_some_and(|max| depth as usize >= max) {
             trunc.depth = true;
-            dirty.push(DirtyNode {
-                id: id as u32,
-                watermark: u32::try_from(arena.len()).expect("arena len fits u32"),
-            });
-            id += 1;
-            continue;
-        }
-        if limits
+            dirty.push(DirtyNode::at(id, arena));
+        } else if limits
             .max_agents
             .is_some_and(|max| arena.total(ConfigId(id as u32)) > max)
         {
             trunc.agents = true;
-            dirty.push(DirtyNode {
-                id: id as u32,
-                watermark: u32::try_from(arena.len()).expect("arena len fits u32"),
-            });
-            id += 1;
-            continue;
-        }
-        if expand_one(
+            dirty.push(DirtyNode::at(id, arena));
+        } else if expand_one(
             transitions,
             arena,
             edges,
@@ -744,10 +572,7 @@ fn scan_expand(
             &mut src,
             &mut succ,
         ) {
-            dirty.push(DirtyNode {
-                id: id as u32,
-                watermark: u32::try_from(arena.len()).expect("arena len fits u32"),
-            });
+            dirty.push(DirtyNode::at(id, arena));
         }
         id += 1;
     }
@@ -782,12 +607,12 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     /// arithmetic. The sparse [`Multiset`] views returned by
     /// [`node`](Self::node) are materialized lazily, on first access.
     ///
-    /// With [`Parallelism::Parallel`], each BFS level is expanded by
-    /// cooperating worker threads over a hash-sharded scratch arena
-    /// ([`ShardedArena`]) and the discoveries are renumbered afterwards in
-    /// the exact order the sequential search would have made them — node
-    /// ids, edges, and the completion taxonomy are **identical** across all
-    /// modes and worker counts, so parallelism is purely a speed knob.
+    /// With [`Parallelism::Parallel`] and at least two workers, the
+    /// successors of each large BFS level are computed by cooperating
+    /// worker threads and interned afterwards in the exact order the
+    /// sequential search would have interned them — node ids, edges, and
+    /// the completion taxonomy are **identical** across all modes and
+    /// worker counts, so parallelism is purely a speed knob.
     ///
     /// **Deprecated**: use the session API instead —
     /// [`Analysis::new`](crate::session::Analysis::new)`(net).reachability(initial).limits(l).parallelism(p).run()`.
@@ -831,7 +656,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         limits: &ExplorationLimits,
         parallelism: Parallelism,
     ) -> Self {
-        if parallelism.is_parallel() {
+        if parallelism.workers() >= 2 {
             Self::build_parallel(engine, initial_configs, limits, parallelism.workers())
         } else {
             Self::build_sequential(engine, initial_configs, limits)
@@ -937,7 +762,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             &mut dirty,
             &mut trunc,
             limits,
-            0,
+            0..usize::MAX,
         );
         Self::finish(
             engine,
@@ -952,39 +777,24 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         )
     }
 
-    /// The sharded **pipelined** level-synchronous parallel search.
+    /// The level-synchronous parallel search: each BFS level whose
+    /// frontier holds at least `PARALLEL_LEVEL_MIN` nodes runs as a
+    /// **map** step on `workers` threads followed by a **commit** step on
+    /// the calling thread; smaller levels (and depth-capped ones) are
+    /// expanded inline by [`scan_expand`].
     ///
-    /// The engine alternates between two regimes, level by level:
+    /// * **Map** ([`map_level`]): workers fire every enabled transition of
+    ///   their frontier chunks and look each successor up in the arena,
+    ///   which nobody writes during the step — `Known(id)` or `Fresh`,
+    ///   whose row the chunk keeps.
+    /// * **Commit** ([`commit_chunks`]): the calling thread replays the
+    ///   chunks in frontier × transition order, interning `Fresh` rows and
+    ///   deciding the budget exactly as the sequential search would.
     ///
-    /// * **Direct** — while no workers are in flight (small levels, and
-    ///   every level under `Parallel(1)`), a level is one fused
-    ///   sequential step: frontier rows are expanded in id order and
-    ///   fresh successors interned straight into the arena, exactly the
-    ///   sequential BFS step. No scratch, no barriers, no deferred
-    ///   commit — deep narrow graphs run at sequential speed.
-    ///
-    /// * **Pipelined** — once a level reaches `PARALLEL_LEVEL_MIN`
-    ///   candidates (and `Parallel(n ≥ 2)` provides workers), its
-    ///   lifecycle splits into *expand* and *commit*, and the two stages
-    ///   **overlap**: while the main thread commits level *d* — replaying
-    ///   the workers\' discoveries in frontier × transition order,
-    ///   assigning dense [`ConfigId`]s exactly as the sequential BFS
-    ///   would — the workers already expand level *d+1*, resolving rows
-    ///   first seen at level *d* through their stable scratch ids
-    ///   ([`ShardedArena`] retains the two live epochs) instead of
-    ///   waiting for their global numbers. Only the brief sync point
-    ///   between levels stays serial: publishing the freshly committed
-    ///   rows into the frozen arena, retiring the oldest scratch epoch,
-    ///   and handing over the next job.
-    ///
-    /// Both regimes replay discoveries in the exact sequential interning
-    /// order (including budget truncation decisions), so the resulting
-    /// graph is bit-identical to [`build_sequential`]\'s for every worker
-    /// count.
-    ///
-    /// A panicking worker marks the build as poisoned and the panic is
-    /// re-raised from the main thread once the current level drains — the
-    /// barrier protocol never deadlocks on a dead worker.
+    /// So the graph is bit-identical to [`build_sequential`]'s for every
+    /// worker count. A panicking worker poisons the build: the panic is
+    /// re-raised from the calling thread once the level's workers are
+    /// joined.
     ///
     /// [`build_sequential`]: Self::build_sequential
     fn build_parallel(
@@ -993,385 +803,64 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         limits: &ExplorationLimits,
         workers: usize,
     ) -> Self {
-        /// Don\'t wake the workers for levels smaller than this.
+        /// Levels smaller than this are expanded inline.
         const PARALLEL_LEVEL_MIN: usize = 512;
 
-        let cap = limits.effective_max_configurations();
         let SeedState {
-            arena,
+            mut arena,
             mut edges,
             initial_ids,
             mut depths,
             pending_initials,
             mut trunc,
         } = Self::intern_initial(&engine, initial_configs, limits);
-        // The job/row machinery works on stored words: `width` here is
-        // the packed stride, not the place count.
-        let width = arena.stride();
         let packed = engine.packed_transitions(arena.layout());
         let mut dirty: Vec<DirtyNode> = Vec::new();
-        let mut next_id = arena.len();
-
-        // Scratch dedup arena plus the epoch-tagged map to final ids.
-        let sharded = ShardedArena::with_layout(arena.layout().clone(), workers * 8);
-        let num_shards = sharded.num_shards();
-        let mut map = SidMap::new(num_shards);
-
-        // The current frontier: ids `[start, end)`, its scratch ids
-        // (empty for frontiers whose rows the arena already holds in id
-        // order), and its BFS depth.
-        let mut frontier_sids: Vec<ShardedConfigId> = Vec::new();
-        let mut frontier_start = 0usize;
-        let mut frontier_end = next_id;
-        let mut depth = 0usize;
-        // Whether the frontier\'s rows are already in the frozen arena
-        // (true except right after an overlapped commit).
-        let mut prepublished = true;
-
-        // The level whose expansion results are awaiting their commit:
-        // its job, result chunks, and position index. `None` in the
-        // direct regime.
-        let mut pending: Option<(LevelJob, JobIndex, Vec<ChunkResult>)> = None;
-
-        // Epoch boundaries (per-shard scratch lengths): `b_prev` opens the
-        // newest finished epoch, `b_prev2` the one before it. Rows retire
-        // one sync after publication, map entries one sync after that.
-        let mut b_prev2 = vec![0u32; num_shards];
-        let mut b_prev = vec![0u32; num_shards];
-
-        let transitions = &packed;
-        let spawned = workers.saturating_sub(1);
         // relaxed: test-only fault flags, set before the build starts; no
         // ordering with any other memory is needed.
-        let force_workers = fault_injection::PANIC_IN_WORKERS.load(Ordering::Relaxed)
-            || fault_injection::EXHAUST_SCRATCH_IDS.load(Ordering::Relaxed);
-        // Two barrier crossings hand each level off: workers park between
-        // levels (a busy-spin variant was measured to be strictly worse on
-        // CPU-throttled hosts, where a spinning worker steals cycles from
-        // the committing thread).
-        let barrier = Barrier::new(spawned + 1);
-        let done = AtomicBool::new(false);
-        let worker_panicked = AtomicBool::new(false);
-        let job_slot: RwLock<LevelJob> = RwLock::new(LevelJob::empty());
-        // Workers read the frozen arena during a level; the main thread
-        // writes it only at the sync points (while the workers are parked
-        // at the barrier), so neither side ever blocks on this lock.
-        let arena_slot: RwLock<ConfigArena> = RwLock::new(arena);
-
-        std::thread::scope(|scope| {
-            // Workers are spawned lazily, on the first level big enough to
-            // use them: graphs that never reach PARALLEL_LEVEL_MIN nodes
-            // per level (the small-input regime) pay no thread cost at all.
-            let mut workers_spawned = false;
-            let mut spare_rows: Vec<u64> = Vec::new();
-            let mut spare_flags: Vec<bool> = Vec::new();
-            let mut src: Vec<u64> = Vec::new();
-            let mut succ: Vec<u64> = Vec::new();
-
-            // Installs the next job and wakes the workers (spawning them
-            // on first use). Duplicated as a macro because the spawn
-            // closure borrows the scope.
-            macro_rules! dispatch {
-                ($job:expr) => {{
-                    let mut next_job = $job;
-                    if !workers_spawned {
-                        workers_spawned = true;
-                        for _ in 0..spawned {
-                            scope.spawn(|| loop {
-                                barrier.wait();
-                                if done.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                let outcome =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        // relaxed: test-only fault flag, set
-                                        // before the build starts; no ordering
-                                        // with any other memory is needed.
-                                        if fault_injection::PANIC_IN_WORKERS.load(Ordering::Relaxed)
-                                        {
-                                            // pp-lint: allow(panic-in-worker) — the injected
-                                            // fault must be a genuine unwind so the catch +
-                                            // poison protocol below stays covered by tests.
-                                            panic!("injected worker panic (fault_injection)");
-                                        }
-                                        // A poisoned slot means another worker
-                                        // panicked mid-level: report instead of
-                                        // panicking so the main thread raises
-                                        // one poisoned-build error, not a pile.
-                                        let (Ok(frozen), Ok(job)) =
-                                            (arena_slot.read(), job_slot.read())
-                                        else {
-                                            return false;
-                                        };
-                                        expand_level_chunks(&job, transitions, &frozen, &sharded);
-                                        true
-                                    }));
-                                if !matches!(outcome, Ok(true)) {
-                                    worker_panicked.store(true, Ordering::Release);
-                                }
-                                barrier.wait();
-                            });
-                        }
-                    }
-                    // Enough chunks that workers stay balanced, big enough
-                    // that queue-claim traffic stays negligible.
-                    next_job.chunk_size = (next_job.count.div_ceil(workers * 4)).clamp(1, 512);
-                    *job_slot.write().expect("level job poisoned") = next_job;
-                    barrier.wait(); // level start: workers read the new job
-                }};
-            }
-
-            // Joins the workers\' expansion (the main thread claims chunks
-            // too) and recovers the finished job with its results.
-            macro_rules! drain {
-                () => {{
-                    {
-                        let frozen = arena_slot.read().expect("arena lock poisoned");
-                        let current = job_slot.read().expect("level job poisoned");
-                        expand_level_chunks(&current, transitions, &frozen, &sharded);
-                    }
-                    barrier.wait(); // level end: all successors resolved
-                    let mut finished = std::mem::replace(
-                        &mut *job_slot.write().expect("level job poisoned"),
-                        LevelJob::empty(),
-                    );
-                    let taken =
-                        std::mem::take(finished.results.get_mut().expect("level results poisoned"));
-                    (finished, taken)
-                }};
-            }
-
-            loop {
-                // ---- sync point: no worker is running ----
-                if worker_panicked.load(Ordering::Acquire) {
-                    break; // re-raised after the workers are released
-                }
-                // Publish the frontier\'s rows into the frozen arena: from
-                // here on every thread resolves them lock-free.
-                if !prepublished {
-                    let mut arena = arena_slot.write().expect("arena lock poisoned");
-                    for (offset, &sid) in frontier_sids.iter().enumerate() {
-                        let id =
-                            sharded.with_row(sid, |hash, row| arena.intern_prehashed(hash, row));
-                        debug_assert_eq!(
-                            id.index(),
-                            frontier_start + offset,
-                            "published ids must match the committed numbering"
-                        );
-                        let _ = (id, offset);
-                    }
-                    prepublished = true;
-                }
-                if frontier_start >= frontier_end {
-                    break;
-                }
-                if let Some(max_depth) = limits.max_depth {
-                    if depth >= max_depth {
-                        // Stored but never expanded, like the sequential
-                        // search reaching its depth budget: every frontier
-                        // node is recorded as dirty, in id order, with the
-                        // final arena length as its watermark (nothing
-                        // interns after this point).
-                        trunc.depth = true;
-                        let watermark = u32::try_from(next_id).expect("arena len fits u32");
-                        for id in frontier_start..frontier_end {
-                            dirty.push(DirtyNode {
-                                id: u32::try_from(id).expect("node id fits u32"),
-                                watermark,
-                            });
-                        }
-                        break;
-                    }
-                }
-
-                let Some((mut job, job_index, results)) = pending.take() else {
-                    // ---- direct regime: no expansion in flight ----
-                    let count = frontier_end - frontier_start;
-                    if spawned > 0 && (count >= PARALLEL_LEVEL_MIN || force_workers) {
-                        // Promote: expand this frontier on the workers.
-                        // There is nothing to overlap yet — the pipeline
-                        // proper starts at the next iteration, when this
-                        // level\'s commit overlaps the next expansion.
-                        b_prev2 = std::mem::replace(&mut b_prev, sharded.snapshot_lens());
-                        let promoted = {
-                            let frozen = arena_slot.read().expect("arena lock poisoned");
-                            build_frontier_job(
-                                &frozen,
-                                frontier_start..frontier_end,
-                                limits,
-                                width,
-                                std::mem::take(&mut spare_rows),
-                                std::mem::take(&mut spare_flags),
-                            )
-                        };
-                        dispatch!(promoted);
-                        let (finished, taken) = drain!();
-                        pending = Some((finished, JobIndex::Identity, taken));
-                        continue;
-                    }
-                    // One fused sequential step: expand in id order,
-                    // interning fresh rows straight into the arena.
-                    let mut arena = arena_slot.write().expect("arena lock poisoned");
-                    for id in frontier_start..frontier_end {
-                        let node = ConfigId(u32::try_from(id).expect("node id fits u32"));
-                        if let Some(max_agents) = limits.max_agents {
-                            if arena.total(node) > max_agents {
-                                trunc.agents = true;
-                                dirty.push(DirtyNode {
-                                    id: node.0,
-                                    watermark: u32::try_from(arena.len())
-                                        .expect("arena len fits u32"),
-                                });
-                                continue;
-                            }
-                        }
-                        src.clear();
-                        src.extend_from_slice(arena.row(node));
-                        let mut blocked = false;
-                        for (t, transition) in transitions.iter().enumerate() {
-                            if !transition.is_enabled_words(&src) {
-                                continue;
-                            }
-                            transition.fire_words(&src, &mut succ);
-                            let to = match arena.lookup(&succ) {
-                                Some(existing) => existing.index(),
-                                None => {
-                                    if arena.len() >= cap {
-                                        trunc.config = true;
-                                        blocked = true;
-                                        continue;
-                                    }
-                                    let fresh = arena.intern(&succ);
-                                    edges.push(Vec::new());
-                                    depths.push(u32::try_from(depth + 1).expect("depth fits u32"));
-                                    fresh.index()
-                                }
-                            };
-                            edges[id].push((t, to));
-                        }
-                        if blocked {
-                            dirty.push(DirtyNode {
-                                id: node.0,
-                                watermark: u32::try_from(arena.len()).expect("arena len fits u32"),
-                            });
-                        }
-                    }
-                    next_id = arena.len();
-                    drop(arena);
-                    frontier_start = frontier_end;
-                    frontier_end = next_id;
-                    frontier_sids.clear();
-                    depth += 1;
-                    continue;
-                };
-
-                // ---- pipelined regime: commit the pending level ----
-                // Epoch handoff: the newest scratch epoch holds the rows
-                // first seen while expanding the pending level — the
-                // candidate superset of the next one. The epoch before it
-                // was published and its rows retire now (its map entries
-                // one sync later).
-                let b_now = sharded.snapshot_lens();
-                sharded.retire_below(&b_prev);
-                map.retire_below(&b_prev2);
-                let epoch_count: usize = b_now
-                    .iter()
-                    .zip(&b_prev)
-                    .map(|(now, prev)| (now - prev) as usize)
-                    .sum();
-
-                let expand_next =
-                    epoch_count > 0 && limits.max_depth.is_none_or(|max| depth + 1 < max);
-                let use_workers = expand_next
-                    && spawned > 0
-                    && (epoch_count >= PARALLEL_LEVEL_MIN || force_workers);
-                let mut next_index = JobIndex::Identity;
-                if use_workers {
-                    // Hand the whole epoch (shard-major layout, stable
-                    // scratch ids) to the workers *before* this level\'s
-                    // commit decides the epoch\'s final ids.
-                    let (next_job, index) = build_level_job(
-                        &sharded,
-                        &b_prev,
-                        &b_now,
-                        limits,
-                        width,
-                        std::mem::take(&mut spare_rows),
-                        std::mem::take(&mut spare_flags),
-                    );
-                    next_index = index;
-                    dispatch!(next_job);
-                }
-
-                // ---- overlapped region: workers expand the next level ----
-                // Commit the pending level: replay its expansion results
-                // in frontier × transition order, assigning ids exactly in
-                // the sequential interning order.
-                let level = LevelResults::assemble(results, job.count, job.chunk_size);
-                let committed = commit_level(
-                    frontier_start..frontier_end,
-                    &frontier_sids,
-                    &job_index,
-                    &job,
-                    &level,
-                    &mut map,
-                    &mut edges,
-                    &mut next_id,
-                    cap,
-                    &mut trunc,
-                    &mut dirty,
-                    &mut depths,
-                    u32::try_from(depth + 1).expect("depth fits u32"),
+        let drop_fresh = fault_injection::DROP_FRESH_SUCCESSORS.load(Ordering::Relaxed);
+        // relaxed: likewise a test-only flag set before the build starts.
+        let panic_in_workers = fault_injection::PANIC_IN_WORKERS.load(Ordering::Relaxed);
+        let force_map = drop_fresh || panic_in_workers;
+        let mut start = 0;
+        while start < arena.len() {
+            let end = arena.len();
+            let depth_capped = limits
+                .max_depth
+                .is_some_and(|max| depths[start] as usize >= max);
+            if !depth_capped && (end - start >= PARALLEL_LEVEL_MIN || force_map) {
+                let chunks = map_level(
+                    &packed,
+                    &arena,
+                    start..end,
+                    limits.max_agents,
+                    workers,
+                    drop_fresh,
                 );
-                // Reclaim the committed job\'s buffers for the next build.
-                spare_rows = std::mem::take(&mut job.rows);
-                spare_flags = std::mem::take(&mut job.expand);
-
-                if use_workers {
-                    let (finished, taken) = drain!();
-                    pending = Some((finished, next_index, taken));
-                    prepublished = false; // published at the next sync point
-                } else {
-                    // Demote to the direct regime: publish the fresh rows
-                    // now (no worker is in flight) so the next direct step
-                    // reads them straight from the arena.
-                    let _ = next_index;
-                    let mut arena = arena_slot.write().expect("arena lock poisoned");
-                    for (offset, &sid) in committed.iter().enumerate() {
-                        let id =
-                            sharded.with_row(sid, |hash, row| arena.intern_prehashed(hash, row));
-                        debug_assert_eq!(
-                            id.index(),
-                            frontier_end + offset,
-                            "published ids must match the committed numbering"
-                        );
-                        let _ = (id, offset);
-                    }
-                    prepublished = true;
-                }
-
-                if committed.is_empty() {
-                    break;
-                }
-                frontier_start = frontier_end;
-                frontier_end = next_id;
-                frontier_sids = committed;
-                depth += 1;
-                b_prev2 = std::mem::replace(&mut b_prev, b_now);
+                commit_chunks(
+                    chunks,
+                    start,
+                    &mut arena,
+                    &mut edges,
+                    &mut depths,
+                    &mut dirty,
+                    &mut trunc,
+                    limits,
+                );
+            } else {
+                scan_expand(
+                    &packed,
+                    &mut arena,
+                    &mut edges,
+                    &mut depths,
+                    &mut dirty,
+                    &mut trunc,
+                    limits,
+                    start..end,
+                );
             }
-
-            if workers_spawned {
-                done.store(true, Ordering::Release);
-                barrier.wait(); // release the workers into their exit path
-            }
-        });
-
-        assert!(
-            !worker_panicked.load(Ordering::Acquire),
-            "a parallel exploration worker panicked; the build is poisoned"
-        );
-        let arena = arena_slot.into_inner().expect("arena lock poisoned");
-        debug_assert_eq!(arena.len(), next_id, "every committed row was published");
+            start = end;
+        }
         Self::finish(
             engine,
             arena,
@@ -1688,10 +1177,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                 &mut src,
                 &mut succ,
             ) {
-                dirty.push(DirtyNode {
-                    id,
-                    watermark: u32::try_from(self.arena.len()).expect("arena len fits u32"),
-                });
+                dirty.push(DirtyNode::at(id as usize, &self.arena));
             }
         }
 
@@ -1706,7 +1192,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             &mut dirty,
             &mut trunc,
             limits,
-            first_new,
+            first_new..usize::MAX,
         );
 
         self.dirty = dirty;
@@ -2132,8 +1618,8 @@ mod tests {
     #[test]
     fn budget_truncation_is_graceful_on_both_engines() {
         // Tiny synthetic caps: the budget must be enforced before the
-        // arena's id-space panic path, on the sequential and the pipelined
-        // parallel engine alike, and the truncated graphs must agree.
+        // arena's id-space panic path, on the sequential and the parallel
+        // engine alike, and the truncated graphs must agree.
         let net = doubling_net();
         for cap in [1usize, 2, 3, 5] {
             let limits = ExplorationLimits::with_max_configurations(cap);
@@ -2178,7 +1664,7 @@ mod tests {
     #[test]
     fn agent_budget_truncation_matches_across_engines() {
         // Non-conservative net: a -> a + a grows without bound; the agent
-        // cap stops expansion. Sequential and pipelined builds must agree
+        // cap stops expansion. Sequential and parallel builds must agree
         // node for node, including the incompleteness flag.
         let net = PetriNet::from_transitions([Transition::new(ms(&[("a", 1)]), ms(&[("a", 2)]))]);
         let limits = ExplorationLimits::with_max_agents(6);

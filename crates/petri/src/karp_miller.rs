@@ -550,9 +550,8 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
     /// expansion only reads the node's own branch, so with
     /// [`Parallelism::Parallel`] the waves fan out over worker threads.
     ///
-    /// Like the pipelined exploration engine, the wave-order admission
-    /// (budget counting and the marking list — the serial fraction) is
-    /// **overlapped** with expansion: while this thread admits wave *w*,
+    /// The wave-order admission (budget counting and the marking list —
+    /// the serial fraction) is **overlapped** with expansion: while this thread admits wave *w*,
     /// a helper thread already expands wave *w+1*'s candidate children,
     /// whose ancestor chains are shared `Arc` links and therefore free to
     /// hand out. Admission still runs strictly in wave order, making the

@@ -74,7 +74,7 @@ pub mod stabilized;
 mod net;
 mod transition;
 
-pub use arena::{ConfigArena, ConfigId, ShardedArena, ShardedConfigId};
+pub use arena::{ConfigArena, ConfigId};
 pub use batch::{Batch, BatchJob, BatchOutcome, BatchQuery, BatchReport, CancelToken, JobReport};
 pub use engine::{CompiledNet, CompiledTransition, DenseConfig};
 pub use explore::{ExplorationLimits, ReachabilityGraph};

@@ -3,18 +3,17 @@
 //! Every fixpoint of the suite (forward exploration, backward coverability
 //! saturation, Karp–Miller construction) takes a [`Parallelism`] describing
 //! how many OS threads may cooperate on one build. Results are *identical*
-//! across modes and worker counts — the parallel paths renumber or merge
-//! deterministically — so the knob is purely a performance choice:
+//! across modes and worker counts — the parallel paths merge their
+//! results in a fixed order — so the knob is purely a performance choice:
 //!
 //! * [`Parallelism::Sequential`] — the classic single-threaded loops. The
 //!   right choice for small inputs, where thread coordination would cost
 //!   more than it saves, and for callers that already parallelize at a
 //!   coarser grain (e.g. `pp_population::verify` fanning out over inputs).
-//! * [`Parallelism::Parallel`]`(n)` — the sharded level-synchronous engine
-//!   with `n` cooperating workers (the calling thread included).
-//!   `Parallel(1)` still exercises the sharded code path, just without
-//!   spawning — which is exactly what the single-thread CI job pins via
-//!   `PP_PETRI_THREADS=1` to keep the shard logic covered deterministically.
+//! * [`Parallelism::Parallel`]`(n)` — `n` cooperating workers (the calling
+//!   thread included). Forward exploration maps each large BFS level on
+//!   the workers and commits it on the calling thread. `Parallel(1)` has
+//!   no worker to add, so exploration runs the sequential loop.
 //!
 //! [`Parallelism::auto`] picks `Parallel(available_parallelism)` on
 //! multi-core hosts and `Sequential` on single-core ones; the
@@ -29,10 +28,10 @@
 /// every build is independent of the chosen mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Single-threaded classic path (no sharding, no coordination).
+    /// Single-threaded classic path (no coordination).
     Sequential,
-    /// Sharded level-synchronous path with this many cooperating workers,
-    /// the calling thread included. Values below 1 behave like 1.
+    /// This many cooperating workers, the calling thread included. Values
+    /// below 1 behave like 1.
     Parallel(usize),
 }
 
@@ -41,11 +40,9 @@ impl Parallelism {
     /// threads (at least 2), [`Sequential`](Self::Sequential) otherwise.
     ///
     /// The `PP_PETRI_THREADS` environment variable overrides detection:
-    /// `0` forces `Sequential` (the classic loops, no sharding at all),
-    /// a positive integer `n` forces `Parallel(n)` —
-    /// `PP_PETRI_THREADS=1` is the spawn-free sharded path used by the
-    /// single-thread CI job — and a value that does not parse as an
-    /// integer falls back to hardware detection.
+    /// `0` forces `Sequential` (the classic loops), a positive integer `n`
+    /// forces `Parallel(n)`, and a value that does not parse as an integer
+    /// falls back to hardware detection.
     #[must_use]
     pub fn auto() -> Self {
         if let Some(parallelism) = crate::gates::read(crate::gates::PP_PETRI_THREADS)
@@ -86,8 +83,8 @@ impl Parallelism {
         }
     }
 
-    /// Returns `true` if the sharded level-synchronous path is requested
-    /// (even with a single worker).
+    /// Returns `true` for [`Parallel`](Self::Parallel), even with a single
+    /// worker.
     #[must_use]
     pub fn is_parallel(self) -> bool {
         matches!(self, Parallelism::Parallel(_))

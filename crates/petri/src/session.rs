@@ -109,12 +109,9 @@ pub enum Completion {
     AgentCap,
     /// Some stored configuration sat at the depth cap and was not expanded.
     DepthCap,
-    /// The `u32` id space of an interning arena — not the caller's budget
-    /// — was what actually bounded the build: either the graph arena's
-    /// global cap ([`MAX_GRAPH_CONFIGURATIONS`][max]) or, under the
-    /// parallel engine, a shard of the scratch arena refusing to assign
-    /// one more shard-local id (a refusal, never a panic — the affected
-    /// node is re-marked dirty exactly like a budget-refused one).
+    /// The `u32` id space of the graph arena — not the caller's budget —
+    /// was what actually bounded the build: the budget was clamped to
+    /// [`MAX_GRAPH_CONFIGURATIONS`][max] and that clamped budget ran out.
     ///
     /// [max]: crate::explore::MAX_GRAPH_CONFIGURATIONS
     IdSpace,

@@ -271,7 +271,7 @@ fn verdict_from_graph(
 /// inputs, each exploring sequentially; with fewer jobs of which at least
 /// one is large, it runs inputs in order and lets every input of
 /// [`WITHIN_INPUT_AGENT_THRESHOLD`] or more agents use *within-input*
-/// parallelism (the sharded level-synchronous exploration engine). Both
+/// parallelism (the level-synchronous map-then-commit exploration). Both
 /// the per-input semantics and the order of the returned reports are
 /// identical across all strategies, because the parallel engine — and the
 /// batch layer on top of it — is deterministic.

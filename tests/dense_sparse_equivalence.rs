@@ -5,11 +5,11 @@
 //! `Analysis::reachability` runs on the `ConfigArena`/`CompiledNet`
 //! engine; `sparse_reference_exploration` is the pre-engine
 //! `BTreeMap`-based breadth-first search kept as the baseline; and
-//! `.parallelism(Parallelism::Parallel(n))` selects the sharded
-//! level-synchronous engine. All follow the same BFS order, so the
+//! `.parallelism(Parallelism::Parallel(n))` selects the level-synchronous
+//! map-then-commit engine. All follow the same BFS order, so the
 //! three-way check is strict: the parallel graph must match the sequential
 //! one *node id for node id and edge for edge* (the deterministic
-//! renumbering guarantee), and both must match the sparse reference's node
+//! commit guarantee), and both must match the sparse reference's node
 //! set and completeness flag — on the whole protocol catalog and on random
 //! nets, truncated or not. Resumed graphs are held to the same standard:
 //! truncate at a small budget, resume to a larger one, compare bit-for-bit
@@ -189,7 +189,7 @@ proptest! {
         (net, initial) in arb_net_and_initial(),
         max_depth in 0usize..6,
     ) {
-        // Depth truncation exercises the pipelined engine's level gate:
+        // Depth truncation exercises the parallel engine's level gate:
         // a frontier at the depth budget is stored but never expanded,
         // on every engine, with the same incompleteness verdict.
         let limits = ExplorationLimits {

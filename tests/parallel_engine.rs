@@ -1,4 +1,4 @@
-//! Determinism properties of the parallel sharded engine.
+//! Determinism properties of the parallel engine.
 //!
 //! The contract of `Parallelism` is that it is *purely* a speed knob:
 //! every fixpoint — forward exploration, backward coverability saturation,
@@ -9,7 +9,9 @@
 //! would immediately show up.
 
 use pp_multiset::Multiset;
-use pp_petri::{Analysis, ExplorationLimits, Parallelism, PetriNet, ReachabilityGraph, Transition};
+use pp_petri::{
+    Analysis, Completion, ExplorationLimits, Parallelism, PetriNet, ReachabilityGraph, Transition,
+};
 use pp_population::stable::ProtocolStability;
 use pp_population::verify::{verify_input, verify_input_with};
 use pp_population::Predicate;
@@ -73,38 +75,89 @@ fn catalog_graphs_are_identical_across_worker_counts() {
     }
 }
 
+/// Asserts that `Parallel(2..=4)` builds of `net` from `initial` under
+/// `limits` equal the sequential one, that the sequential one stopped for
+/// `expected`, and that the last BFS level it expanded was wide enough
+/// (512 nodes) for the parallel engine to map it on its workers.
+fn assert_dispatched_truncation_identical<P: Clone + Ord + Send + Sync>(
+    net: &PetriNet<P>,
+    initial: &Multiset<P>,
+    limits: &ExplorationLimits,
+    expected: Completion,
+) {
+    let sequential = build(net, initial, limits, Parallelism::Sequential);
+    assert_eq!(sequential.completion(), expected, "{limits:?}");
+    let mut level_sizes = Vec::new();
+    for id in sequential.ids() {
+        let depth = sequential.depth_of(id);
+        level_sizes.resize(level_sizes.len().max(depth + 1), 0usize);
+        level_sizes[depth] += 1;
+    }
+    // The deepest level is stored but not expanded (depth cap) or only
+    // partly interned (budget); the one before it was expanded last.
+    assert!(
+        level_sizes.len() >= 2 && level_sizes[level_sizes.len() - 2] >= 512,
+        "the last expanded level is too narrow to be mapped under {limits:?}: {level_sizes:?}"
+    );
+    for workers in [2usize, 3, 4] {
+        let parallel = build(net, initial, limits, Parallelism::Parallel(workers));
+        assert!(
+            sequential.identical_to(&parallel),
+            "truncated graphs differ: {limits:?} workers {workers}"
+        );
+    }
+}
+
 #[test]
 fn truncated_dispatched_levels_stay_identical() {
-    // Levels wide enough that the pipelined engine actually dispatches
-    // jobs to spawned workers (past its minimum level size), with the
-    // configuration budget cutting exploration off mid-level — the regime
-    // where a commit replaying discoveries out of sequential order would
-    // keep different nodes.
+    // Levels wide enough that the parallel engine actually maps them on
+    // spawned workers (past its minimum level size), with a limit cutting
+    // exploration off — the regime where a commit replaying discoveries
+    // out of sequential order would keep different nodes or record
+    // different dirty nodes. First the configuration budget, running out
+    // while the levels of 530 and 590 nodes are committed.
     let protocol = flock::flock_of_birds_unary(5);
     let initial = protocol.initial_config_with_count(22);
-    for budget in [1500usize, 4000] {
+    for budget in [2500usize, 3000] {
         let limits = ExplorationLimits::with_max_configurations(budget);
-        let sequential = build(protocol.net(), &initial, &limits, Parallelism::Sequential);
-        assert!(!sequential.is_complete());
-        for workers in [2usize, 3, 4] {
-            let parallel = build(
-                protocol.net(),
-                &initial,
-                &limits,
-                Parallelism::Parallel(workers),
-            );
-            assert!(
-                sequential.identical_to(&parallel),
-                "truncated graphs differ: budget {budget} workers {workers}"
-            );
-        }
+        assert_dispatched_truncation_identical(
+            protocol.net(),
+            &initial,
+            &limits,
+            Completion::ConfigBudget,
+        );
+    }
+    // Then the agent and depth caps, on the same protocol plus one
+    // agent-creating transition: with an agent cap, every mapped level
+    // holds nodes over it (stored, never expanded), and the depth cap
+    // stops the search right after a mapped level.
+    let seed = *initial.support().next().expect("one initial state");
+    let creating =
+        PetriNet::from_transitions(protocol.net().transitions().iter().cloned().chain([
+            Transition::new(
+                Multiset::from_pairs([(seed, 1)]),
+                Multiset::from_pairs([(seed, 2)]),
+            ),
+        ]));
+    let capped = [
+        (Some(22), Some(16), Completion::AgentCap),
+        (Some(23), Some(15), Completion::AgentCap),
+        (None, Some(14), Completion::DepthCap),
+    ];
+    for (max_agents, max_depth, expected) in capped {
+        let limits = ExplorationLimits {
+            max_agents,
+            max_depth,
+            ..ExplorationLimits::default()
+        };
+        assert_dispatched_truncation_identical(&creating, &initial, &limits, expected);
     }
 }
 
 #[test]
 fn resumed_dispatched_levels_match_cold_builds() {
-    // Resume across the budget regimes where the pipelined engine actually
-    // dispatches worker jobs: truncate mid-level at a dispatched budget,
+    // Resume across the budget regimes where the parallel engine actually
+    // maps levels on workers: truncate mid-level at a dispatched budget,
     // then raise the budget and compare against cold builds — for the
     // sequential engine and for worker counts whose chunk boundaries do
     // not align with the frontier.
@@ -207,7 +260,7 @@ proptest! {
     #[test]
     fn random_agent_truncated_explorations_are_identical((net, initial) in arb_net_and_initial()) {
         // Agent-budget truncation alone (no configuration budget): nodes
-        // over the cap are stored but never expanded, and the pipelined
+        // over the cap are stored but never expanded, and the parallel
         // commit must record the exact same incompleteness and edges.
         let limits = ExplorationLimits {
             max_configurations: 5_000,
